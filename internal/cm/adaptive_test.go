@@ -132,10 +132,33 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if fmt.Sprint(a) != fmt.Sprint(c) {
 			t.Errorf("%s: worker count changed result: %v vs %v", algo.name, a, c)
 		}
-		if algo.name == "MagicCM" || algo.name == "MagicSCM" {
+		switch algo.name {
+		case "MagicCM":
+			// Target-major schedule: one build per distinct drawn target,
+			// at every worker count.
+			want := distinctSlotTargets(rand.New(rand.NewPCG(5, 5)), 120, len(in.T2))
+			if par4a.Stats.GraphBuilds != want || par8.Stats.GraphBuilds != want {
+				t.Errorf("%s: builds = %d (P=4), %d (P=8), want %d distinct targets",
+					algo.name, par4a.Stats.GraphBuilds, par8.Stats.GraphBuilds, want)
+			}
+		case "MagicSCM":
+			// Magic^S draws a fresh gate per RR set: one build per slot.
 			if par4a.Stats.GraphBuilds != 120 {
 				t.Errorf("%s: builds = %d, want 120", algo.name, par4a.Stats.GraphBuilds)
 			}
 		}
 	}
+}
+
+// distinctSlotTargets counts the distinct targets among the theta RR slots
+// the pre-seeded slot phase draws from rng: per slot, a target index over
+// n targets followed by the two PCG seeds of its walk.
+func distinctSlotTargets(rng *rand.Rand, theta, n int) int {
+	seen := map[int]bool{}
+	for i := 0; i < theta; i++ {
+		seen[rng.IntN(n)] = true
+		rng.Uint64()
+		rng.Uint64()
+	}
+	return len(seen)
 }

@@ -81,13 +81,16 @@ func dnfCM(in Input, opts Options) (*Result, error) {
 	}
 
 	rrSpan := sp.StartChild("rrgen")
+	// Lineages are already per target, so there is no per-target work to
+	// share: every slot is its own work item.
 	oneRR := func(ti int, r *rand.Rand, _ *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, error) {
 		out, world := sampleDNFWorld(tls[ti], r, sc.world, arena)
 		sc.world = world
 		return out, nil
 	}
+	target := func(int, *Stats) (rrFunc, error) { return oneRR, nil }
 	if opts.Parallelism >= 1 && !opts.Adaptive {
-		err = parallelRRPhase(ctx, inst, opts, res, rng, oneRR)
+		err = parallelRRPhase(ctx, inst, opts, res, rng, false, target)
 	} else {
 		var members []im.CandidateID
 		var world []bool

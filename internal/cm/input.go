@@ -125,10 +125,16 @@ type Options struct {
 	// byte-identical at every level, and any value >= 1 routes RR
 	// generation through the pre-seeded slot design, so for a fixed seed
 	// every Parallelism level — including 1 — produces byte-identical
-	// results regardless of scheduling or worker count. 0 (the zero
-	// value) keeps the legacy strictly-sequential draw order, which is
-	// statistically equivalent but draws from the rng differently; the
-	// adaptive mode is inherently sequential and ignores this.
+	// results regardless of scheduling or worker count. Under that
+	// design unsampled MagicCM schedules its slots by target: a worker
+	// takes all slots of one target, builds the target's subgraph once and
+	// draws every one of them from it, so Stats.GraphBuilds counts
+	// distinct drawn targets rather than RR sets (Magic^S CM still builds
+	// per RR set). 0 (the zero value) keeps the legacy strictly-sequential
+	// draw order, which is statistically equivalent but draws from the rng
+	// differently and rebuilds MagicCM's subgraph for every RR set as
+	// Algorithm 3 does; the adaptive mode is inherently sequential and
+	// ignores this.
 	Parallelism int
 	// Obs, when non-nil, receives the pipeline metrics of the solve (cm.*,
 	// rr.*, wdgraph.*, engine.*, imm.* — see internal/obs and
@@ -253,21 +259,26 @@ type Result struct {
 
 // Stats carries the measurements plotted in the paper's Figures 2–5.
 type Stats struct {
-	NumRR       int   // RR sets generated (θ)
-	GraphBuilds int   // WD (sub)graph constructions
-	CoveredRR   int   // RR sets covered by the selected seeds
+	NumRR     int // RR sets generated (θ)
+	CoveredRR int // RR sets covered by the selected seeds
+	// GraphBuilds counts WD (sub)graph constructions: one per RR set for
+	// MagicCM at Parallelism 0 or in adaptive mode and for Magic^S CM, one
+	// per distinct drawn target for MagicCM at Parallelism >= 1, and one
+	// full graph for the shared-graph algorithms.
+	GraphBuilds int
 	TotalNodes  int64 // summed over all constructed graphs
 	TotalEdges  int64
 	MaxNodes    int // largest single constructed graph
 	MaxEdges    int
 	// PeakResidentSize is the largest graph size (nodes+edges) held in
 	// memory at any point: the full graph for NaiveCM and Magic^G CM, the
-	// largest per-RR subgraph for MagicCM / Magic^S CM (which discard each
-	// subgraph after one use, Section V-A).
+	// largest single subgraph for MagicCM / Magic^S CM, which discard each
+	// subgraph once its RR sets are drawn (Section V-A) — the target-major
+	// schedule keeps at most one subgraph per RR worker resident.
 	PeakResidentSize int
 
 	BuildTime  time.Duration // graph construction time (all builds)
-	RRGenTime  time.Duration // total RR generation incl. per-RR builds
+	RRGenTime  time.Duration // total RR generation incl. per-tuple subgraph builds
 	SelectTime time.Duration // greedy maximum-coverage phase
 	TotalTime  time.Duration
 
@@ -320,7 +331,9 @@ type Stats struct {
 }
 
 // AvgGraphSize returns the average constructed-graph size (nodes+edges) per
-// build — the y-axis of Figures 2 and 4.
+// build — the y-axis of Figures 2 and 4. For MagicCM at Parallelism >= 1
+// it averages over the built per-target subgraphs, each counted once, so
+// it weighs targets by distinct draw rather than by RR set.
 func (s Stats) AvgGraphSize() float64 {
 	if s.GraphBuilds == 0 {
 		return 0
@@ -330,7 +343,10 @@ func (s Stats) AvgGraphSize() float64 {
 
 // PerRRTime returns the amortized time to produce one RR set — the y-axis
 // of Figure 3. For NaiveCM this amortizes the one-time full-graph
-// construction over the RR sets, as the paper does.
+// construction over the RR sets, as the paper does; for MagicCM at
+// Parallelism >= 1 it likewise amortizes each per-target subgraph build
+// over that target's RR sets. The figure experiments run at Parallelism 0,
+// where MagicCM pays one build per RR set.
 func (s Stats) PerRRTime() time.Duration {
 	if s.NumRR == 0 {
 		return 0

@@ -65,8 +65,7 @@ func magicVariant(in Input, opts Options, name string, sampled bool) (*Result, e
 	opts.Profile.EnsureTargets(len(inst.targets))
 
 	// The transformed program for a target depends only on the target, so
-	// it is computed once per distinct target and reused across RR sets
-	// (the graph, of course, is rebuilt — and re-sampled — per RR set).
+	// it is computed once per distinct target and reused across RR sets.
 	// The cache is lock-guarded for the parallel path.
 	var trMu sync.Mutex
 	transforms := make([]*magic.Transformed, len(inst.targets))
@@ -83,44 +82,72 @@ func magicVariant(in Input, opts Options, name string, sampled bool) (*Result, e
 		return transforms[ti], nil
 	}
 
-	// oneRR builds the subgraph for target ti, draws the RR set with rng r
-	// (appending its members to arena), and records build stats into st. sc
-	// carries the caller's persistent walker and key buffer, so in steady
-	// state the only allocations are the subgraph build itself.
-	oneRR := func(ti int, r *rand.Rand, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, error) {
-		var t0 time.Time
-		if opts.Profile != nil {
-			t0 = time.Now()
-		}
+	// build evaluates target ti's transformed program into its subgraph,
+	// recording the build into st; r seeds Magic^S's gate and is unused
+	// (nil) otherwise. Engine parallelism stays off for per-tuple
+	// subgraphs: the RR phase already runs one worker per Parallelism
+	// slot, and the subgraphs are small — nesting worker pools would
+	// oversubscribe.
+	build := func(ti int, r *rand.Rand, st *Stats) (*wdgraph.Graph, error) {
 		tr, err := transformFor(ti)
 		if err != nil {
 			return nil, err
 		}
-		// Engine parallelism stays off for per-tuple subgraphs: the RR
-		// phase already runs one worker per Parallelism slot, and the
-		// subgraphs are small — nesting worker pools would oversubscribe.
 		g, err := buildMagicGraph(in, tr, r, sampled, ctx, opts.Obs, nil, 0, res.pl, opts.Profile)
 		if err != nil {
 			return nil, err
 		}
-		recordBuild(st, g)
 		// PeakResidentSize for the per-tuple variants is the largest single
-		// subgraph: each one is discarded after use (Section V-A).
-		out := collectRR(g, inst, inst.targets[ti], r, sampled, sc, arena)
+		// subgraph: each one is discarded once its RR sets are drawn
+		// (Section V-A).
+		recordBuild(st, g)
+		return g, nil
+	}
+
+	// target returns the draw for target ti's RR sets. Unsampled MagicCM
+	// draws no randomness while building (Proposition 4.4: the subgraph is
+	// a fixed function of the target), so the subgraph is built here once
+	// and serves every RR set the caller draws with the returned rrFunc;
+	// dropping that rrFunc drops the subgraph. Magic^S draws a fresh gate
+	// per RR set, so its rrFunc builds per call. Per-target profile
+	// attribution covers the whole target pipeline: the first walk is
+	// charged with everything since this call, build included, and each
+	// later walk with the time since its predecessor. RecordWalk is
+	// atomic, so the parallel RR workers share the counters race-free.
+	target := func(ti int, st *Stats) (rrFunc, error) {
+		var t0 time.Time
 		if opts.Profile != nil {
-			// Per-target attribution covers the whole per-RR pipeline —
-			// subgraph build plus extraction — since both are target work
-			// for the per-tuple variants. RecordWalk is atomic, so the
-			// parallel RR workers share the counters race-free.
-			opts.Profile.RecordWalk(ti, len(out)-len(arena), int64(time.Since(t0)))
+			t0 = time.Now()
 		}
-		return out, nil
+		var g *wdgraph.Graph
+		if !sampled {
+			var err error
+			if g, err = build(ti, nil, st); err != nil {
+				return nil, err
+			}
+		}
+		return func(ti int, r *rand.Rand, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, error) {
+			if sampled {
+				var err error
+				if g, err = build(ti, r, st); err != nil {
+					return nil, err
+				}
+			}
+			out := collectRR(g, inst, inst.targets[ti], r, sampled, sc, arena)
+			if opts.Profile != nil {
+				opts.Profile.RecordWalk(ti, len(out)-len(arena), int64(time.Since(t0)))
+				t0 = time.Now()
+			}
+			return out, nil
+		}, nil
 	}
 
 	rrSpan := sp.StartChild("rrgen")
 	if opts.Parallelism >= 1 && !opts.Adaptive {
-		err = parallelRRPhase(ctx, inst, opts, res, rng, oneRR)
+		err = parallelRRPhase(ctx, inst, opts, res, rng, !sampled, target)
 	} else {
+		// The legacy stream interleaves target draws with walk draws, so
+		// each RR set gets its own build here.
 		sc := newRRScratch()
 		var members []im.CandidateID
 		var genErr error
@@ -129,7 +156,12 @@ func magicVariant(in Input, opts Options, name string, sampled bool) (*Result, e
 			if genErr != nil {
 				return members
 			}
-			out, err := oneRR(drawTarget(rng, len(inst.targets)), rng, &res.Stats, sc, members)
+			ti := drawTarget(rng, len(inst.targets))
+			draw, err := target(ti, &res.Stats)
+			var out []im.CandidateID
+			if err == nil {
+				out, err = draw(ti, rng, &res.Stats, sc, members)
+			}
 			if err != nil {
 				genErr = err
 				return members
@@ -155,32 +187,43 @@ func magicVariant(in Input, opts Options, name string, sampled bool) (*Result, e
 	return res, nil
 }
 
+// rrFunc draws one RR set of target ti with rng r, appending its members
+// to arena; st receives the accounting of any graph built for it, and sc
+// is the calling worker's scratch.
+type rrFunc func(ti int, r *rand.Rand, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, error)
+
+// rrTarget does target ti's shared per-target work, recording any graph it
+// builds into st, and returns the rrFunc that draws ti's RR sets.
+type rrTarget func(ti int, st *Stats) (rrFunc, error)
+
 // parallelRRPhase distributes θ independent RR constructions over
 // Options.Parallelism workers. Determinism: the target index and a
 // dedicated PCG seed are pre-drawn for every RR slot from the master rng,
 // so the resulting RR multiset does not depend on scheduling or worker
 // count; per-worker stats are merged afterwards, and the collection is
-// assembled from the per-worker member arenas in slot order. Workers
-// re-check ctx before every slot and the phase returns ctx's error on
-// cancellation.
+// assembled from the per-worker member arenas in slot order.
+//
+// A worker takes one work item at a time, calls target once for it, and
+// draws the item's slots with the returned rrFunc. With byTarget, an item
+// is every slot of one target (targets in order of first draw), so
+// per-target work such as MagicCM's subgraph build runs once per distinct
+// target and each worker holds at most one target's state at a time;
+// otherwise an item is a single slot. Workers re-check ctx before every
+// slot and the phase returns ctx's error on cancellation.
 func parallelRRPhase(ctx context.Context, inst *instance, opts Options, res *Result, rng *rand.Rand,
-	oneRR func(ti int, r *rand.Rand, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, error)) error {
+	byTarget bool, target rrTarget) error {
 
 	rrStart := time.Now()
 	theta := inst.theta(opts)
-	type slot struct {
-		ti    int
-		seedA uint64
-		seedB uint64
-	}
-	slots := make([]slot, theta)
+	slots := make([]rrSlot, theta)
 	for i := range slots {
-		slots[i] = slot{
+		slots[i] = rrSlot{
 			ti:    drawTarget(rng, len(inst.targets)),
 			seedA: rng.Uint64(),
 			seedB: rng.Uint64(),
 		}
 	}
+	items := workItems(slots, len(inst.targets), byTarget)
 	segs := make([]rrSeg, theta)
 	ro := newRRObs(opts.Obs)
 	workers := opts.Parallelism
@@ -206,21 +249,32 @@ func parallelRRPhase(ctx context.Context, inst *instance, opts Options, res *Res
 				grows[w] = sc.walker.Grows()
 			}()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= theta || ctx.Err() != nil {
+				j := int(next.Add(1)) - 1
+				if j >= len(items) || ctx.Err() != nil {
 					return
 				}
-				r := rand.New(rand.NewPCG(slots[i].seedA, slots[i].seedB))
-				lo := len(arena)
-				out, err := oneRR(slots[i].ti, r, &stats[w], sc, arena)
+				ti := slots[items[j][0]].ti
+				draw, err := target(ti, &stats[w])
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				arena = out
-				segs[i] = rrSeg{worker: int32(w), lo: int64(lo), hi: int64(len(arena))}
-				ro.observe(len(arena) - lo)
-				rec.Observe(len(arena) - lo)
+				for _, i := range items[j] {
+					if ctx.Err() != nil {
+						return
+					}
+					r := rand.New(rand.NewPCG(slots[i].seedA, slots[i].seedB))
+					lo := len(arena)
+					out, err := draw(ti, r, &stats[w], sc, arena)
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					arena = out
+					segs[i] = rrSeg{worker: int32(w), lo: int64(lo), hi: int64(len(arena))}
+					ro.observe(len(arena) - lo)
+					rec.Observe(len(arena) - lo)
+				}
 			}
 		}(w)
 	}
@@ -247,6 +301,34 @@ func parallelRRPhase(ctx context.Context, inst *instance, opts Options, res *Res
 	}
 	observeArena(opts.Obs, coll, totalGrows)
 	return nil
+}
+
+// rrSlot is one pre-drawn RR set: its target index and the PCG seeds of
+// its walk.
+type rrSlot struct {
+	ti    int
+	seedA uint64
+	seedB uint64
+}
+
+// workItems partitions the slot indices into work items: with byTarget one
+// item per distinct target, in order of the target's first draw, holding
+// its slots in ascending order; otherwise one item per slot.
+func workItems(slots []rrSlot, numTargets int, byTarget bool) [][]int {
+	idx := make([]int, len(slots))
+	item := make([]int, numTargets) // 1 + item index of each drawn target
+	var items [][]int
+	for i, s := range slots {
+		idx[i] = i
+		if j := item[s.ti] - 1; byTarget && j >= 0 {
+			items[j] = append(items[j], i)
+			continue
+		}
+		// Capacity 1, so a later append copies the item out of idx.
+		items = append(items, idx[i:i+1:i+1])
+		item[s.ti] = len(items)
+	}
+	return items
 }
 
 // mergeStats folds a worker's build accounting into dst.
@@ -277,11 +359,11 @@ func mergeStats(dst, src *Stats) {
 // full union-graph build passes it (per-RR subgraph builds number in the
 // thousands and are summarized by rr.batch events instead). pl, when
 // non-nil, is the solve's shared plan cache: the transformed program is
-// recompiled here for every RR set, and the cache turns each recompilation
-// after the first into pure plan lookups per adorned rule family. pf, when
-// non-nil, receives per-rule fixpoint accounting (keyed by source rule
-// text, so the thousands of per-target engines of one solve merge into one
-// adorned-rule-family ledger).
+// recompiled here for every subgraph build, and the cache turns each
+// recompilation after the first into pure plan lookups per adorned rule
+// family. pf, when non-nil, receives per-rule fixpoint accounting (keyed
+// by source rule text, so the thousands of per-target engines of one solve
+// merge into one adorned-rule-family ledger).
 func buildMagicGraph(in Input, tr *magic.Transformed, rng *rand.Rand, sampled bool,
 	ctx context.Context, reg *obs.Registry, jr *journal.Journal, par int, pl *planner.Planner, pf *prof.Profile) (*wdgraph.Graph, error) {
 	start := time.Now()

@@ -69,12 +69,7 @@ func parallelWalkPhase(ctx context.Context, inst *instance, opts Options, res *R
 
 	rrStart := time.Now()
 	theta := inst.theta(opts)
-	type slot struct {
-		ti    int
-		seedA uint64
-		seedB uint64
-	}
-	slots := make([]slot, theta)
+	slots := make([]rrSlot, theta)
 	for i := range slots {
 		ti := 0
 		if roots != nil {
@@ -82,7 +77,7 @@ func parallelWalkPhase(ctx context.Context, inst *instance, opts Options, res *R
 		} else {
 			ti = drawTarget(rng, len(inst.targets))
 		}
-		slots[i] = slot{
+		slots[i] = rrSlot{
 			ti:    ti,
 			seedA: rng.Uint64(),
 			seedB: rng.Uint64(),
